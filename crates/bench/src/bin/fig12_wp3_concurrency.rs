@@ -29,7 +29,7 @@ fn main() {
         disjoint_writer_scaling();
         return;
     }
-    // `--group-commit` runs just the group-commit batch-size sweep.
+    // `--group-commit` runs just the group-commit writer sweep.
     if std::env::args().any(|a| a == "--group-commit") {
         group_commit_sweep();
         return;
@@ -207,23 +207,23 @@ fn commit_throughput(
     (writers * commits) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The group-commit mode: disjoint-writer commit throughput vs the
-/// sequencer batch ceiling, with a durable commit-log record written
-/// through the cloud latency model *per batch* — the write batching
-/// amortizes. Asserts throughput improves monotonically with batch size,
-/// that the commit clock stays dense (one timestamp per commit, none
-/// consumed by batching), and that contended rounds still abort exactly
-/// as the ungrouped protocol does.
+/// The group-commit mode: disjoint-writer commit throughput vs writer
+/// count, with a durable commit-log record written through the cloud
+/// latency model *per batch* — the write batching amortizes. Batches form
+/// on their own: whoever validates while a batch is in its commit-log
+/// write rides the next one. Asserts throughput rises with writers, that
+/// batches really form at 8 writers, that the commit clock stays dense
+/// (one timestamp per commit, none consumed by batching), and that
+/// contended rounds still resolve first-committer-wins exactly.
 fn group_commit_sweep() {
-    const WRITERS: usize = 8;
     const COMMITS: usize = 60;
     const FILES: usize = 16;
-    let batch_sizes = [1usize, 2, 4, 8];
+    let writer_counts = [1usize, 2, 4, 8];
     println!();
-    println!("--- group-commit batch-size sweep ---");
+    println!("--- group-commit writer sweep ---");
     println!(
-        "{WRITERS} writers x {COMMITS} commits, {FILES}-file write sets, 16 commit shards, \
-         1 ms batch window (a full batch drains early);"
+        "{COMMITS} commits per writer, {FILES}-file write sets, 16 commit shards, \
+         self-clocking batches (no window, no cap);"
     );
     println!(
         "each batch writes one 4 KiB commit-log record through the cloud latency model \
@@ -231,15 +231,15 @@ fn group_commit_sweep() {
     );
     println!(
         "{:>10} {:>12} {:>12} {:>14} {:>16}",
-        "max_batch", "commits/s", "batches", "mean_batch", "seq_wait_ms_avg"
+        "writers", "commits/s", "batches", "mean_batch", "seq_wait_ms_avg"
     );
     let mut throughputs = Vec::new();
-    for &max_batch in &batch_sizes {
+    let mut mean_batch = 0.0;
+    for &writers in &writer_counts {
         let registry = MetricsRegistry::new();
         let meter = CatalogMeter::from_registry_sharded(&registry, 16);
         let catalog = Arc::new(Catalog::with_meter_sharded(meter, 16));
         let store = Arc::new(LatencyStore::new(MemoryStore::new(), cloud_model()));
-        catalog.set_group_commit(max_batch, Duration::from_micros(1000));
         {
             // The amortized durable write: one commit-log record per
             // sequencer section, covering every batch member.
@@ -260,14 +260,14 @@ fn group_commit_sweep() {
                 },
             )));
         }
-        let thr = commit_throughput(&catalog, &store, WRITERS, COMMITS, FILES);
+        let thr = commit_throughput(&catalog, &store, writers, COMMITS, FILES);
         // Dense-clock check: the DDL commit plus exactly one timestamp per
         // published commit — batching consumed nothing extra.
-        let expected = (WRITERS * COMMITS) as u64 + 1;
+        let expected = (writers * COMMITS) as u64 + 1;
         assert_eq!(
             catalog.now().0,
             expected,
-            "commit clock must stay dense under group commit (batch={max_batch})"
+            "commit clock must stay dense under group commit ({writers} writers)"
         );
         let snap = registry.snapshot();
         let batches = snap
@@ -277,20 +277,20 @@ fn group_commit_sweep() {
         // +1: the table-creation DDL commit sequences through a
         // singleton batch too.
         assert_eq!(
-            batches.sum_ns,
-            (WRITERS * COMMITS) as u64 + 1,
+            batches.sum_ns, expected,
             "every commit counted in exactly one batch"
         );
         let waits = snap
             .histograms
             .get("catalog.sequencer_wait_ns")
             .expect("sequencer-wait histogram registered");
+        mean_batch = batches.sum_ns as f64 / batches.count.max(1) as f64;
         println!(
             "{:>10} {:>12.0} {:>12} {:>14.2} {:>16.3}",
-            max_batch,
+            writers,
             thr,
             batches.count,
-            batches.sum_ns as f64 / batches.count.max(1) as f64,
+            mean_batch,
             waits.sum_ns as f64 / waits.count.max(1) as f64 / 1e6,
         );
         throughputs.push(thr);
@@ -298,16 +298,21 @@ fn group_commit_sweep() {
     for pair in throughputs.windows(2) {
         assert!(
             pair[1] > pair[0],
-            "throughput must improve monotonically with batch size \
-             (got {throughputs:?} for batches {batch_sizes:?})"
+            "throughput must rise with writers \
+             (got {throughputs:?} for writers {writer_counts:?})"
         );
     }
+    assert!(
+        mean_batch > 1.0,
+        "batches must form at 8 writers (mean batch {mean_batch:.2})"
+    );
     let gain = throughputs.last().unwrap() / throughputs[0];
     println!();
     println!(
-        "shape check: batch 8 gives {gain:.2}x batch 1 at {WRITERS} writers (the per-batch \
-         commit-log round trip serializes inside the sequencer; batching amortizes it \
-         without widening the conflict window or skewing the commit clock)"
+        "shape check: 8 writers give {gain:.2}x 1 writer, mean batch {mean_batch:.2} (the \
+         per-batch commit-log round trip serializes inside the sequencer; committers that \
+         queue behind it share the next one, without widening the conflict window or \
+         skewing the commit clock)"
     );
 
     // Contention is unchanged by batching: same-snapshot writers of one
@@ -315,7 +320,6 @@ fn group_commit_sweep() {
     let registry = MetricsRegistry::new();
     let meter = CatalogMeter::from_registry_sharded(&registry, 16);
     let catalog = Arc::new(Catalog::with_meter_sharded(meter, 16));
-    catalog.set_group_commit(8, Duration::from_micros(200));
     let mut ddl = catalog.begin(IsolationLevel::Snapshot);
     let hot = catalog
         .create_table(&mut ddl, "hot", "{}", "lake/hot", &[])
@@ -375,7 +379,6 @@ fn telemetry_selfscrape() {
     let meter = CatalogMeter::from_registry_sharded(&registry, 16);
     let catalog = Arc::new(Catalog::with_meter_sharded(meter, 16));
     let store = Arc::new(LatencyStore::new(MemoryStore::new(), cloud_model()));
-    catalog.set_group_commit(8, Duration::from_micros(1000));
 
     let harvester = Harvester::start(Arc::clone(&registry), Duration::from_millis(25), 512);
     let health: HealthFn = {

@@ -192,14 +192,6 @@ impl Catalog {
         self.store.shard_of(&CatalogKey::Table(table))
     }
 
-    /// Configure sequencer group commit (see
-    /// [`MvccStore::set_group_commit`]): up to `max_batch` validated
-    /// commits publish through one global section; a partial batch drains
-    /// after `window`. `max_batch <= 1` keeps the direct path.
-    pub fn set_group_commit(&self, max_batch: usize, window: std::time::Duration) {
-        self.store.set_group_commit(max_batch, window)
-    }
-
     /// Install (or clear) the per-batch durable commit-log hook (see
     /// [`crate::CommitLog`]).
     pub fn set_commit_log(&self, hook: Option<CatalogCommitLog>) {

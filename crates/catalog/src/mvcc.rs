@@ -5,19 +5,12 @@ use crate::{CatalogError, CatalogResult};
 use parking_lot::{Mutex, RwLock};
 use polaris_obs::{CatalogMeter, Histogram};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Lock a std mutex, shrugging off poisoning: the group-commit monitor
-/// state stays consistent across a panicking member (entries are only
-/// mutated under the lock, never left half-edited).
-fn lock_unpoisoned<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The bounds every [`MvccStore`] key type must satisfy: totally ordered
 /// (versioned rows live in a `BTreeMap`), cloneable (buffered writes),
@@ -155,16 +148,16 @@ impl CommitBatch {
 /// computed at the commit point (manifest rows keyed by the fresh
 /// sequence number). A hook that persists these fields can replay the
 /// commit verbatim on recovery; `None` values are tombstones.
-pub struct CommitLogRecord<'a, K, V> {
+pub struct CommitLogRecord<K, V> {
     /// The committing transaction's durable id.
     pub txn: TxnId,
     /// The timestamp this member commits at (dense within the batch).
     pub commit_ts: Timestamp,
     /// The transaction's buffered writes, sorted by key.
-    pub writes: &'a [(K, Option<V>)],
+    pub writes: Vec<(K, Option<V>)>,
     /// Extra writes computed at the commit point (see
     /// [`MvccStore::commit_with`]).
-    pub extra: &'a [(K, Option<V>)],
+    pub extra: Vec<(K, Option<V>)>,
 }
 
 /// Durable commit-log hook: called once per sequencer batch, under the
@@ -175,7 +168,7 @@ pub struct CommitLogRecord<'a, K, V> {
 /// write that group commit amortizes (the paper's SQL-FE commit record;
 /// cf. LakeVilla's grouped log append).
 pub type CommitLog<K, V> =
-    Arc<dyn Fn(&CommitBatch, &[CommitLogRecord<'_, K, V>]) -> Result<(), String> + Send + Sync>;
+    Arc<dyn Fn(&CommitBatch, &[CommitLogRecord<K, V>]) -> Result<(), String> + Send + Sync>;
 
 /// Commit failpoint probe, for crash-injection harnesses: invoked with a
 /// named point (`commit.validated`, `commit.sequencer`, `commit.logged`,
@@ -185,45 +178,49 @@ pub type CommitLog<K, V> =
 /// unset and pay one uncontended read-lock probe per point.
 pub type CommitProbe = Arc<dyn Fn(&str) + Send + Sync>;
 
-/// Extra-writes closure in boxed form (group-commit queue entries carry it
-/// across threads to whichever committer ends up leading their batch).
+/// Extra-writes closure in boxed form: queue entries carry it across
+/// threads to whichever committer drains their batch. A capture-free
+/// closure is zero-sized, so boxing it does not allocate.
 type ExtraFn<K, V> = Box<dyn FnOnce(Timestamp) -> Vec<(K, Option<V>)> + Send>;
 
-/// Where a queued committer's outcome lands. The leader fills it after
-/// publishing the batch; the owning committer parks on the group condvar,
-/// not on this mutex, so the fill is uncontended in practice.
-struct CommitSlot(StdMutex<Option<CatalogResult<Timestamp>>>);
-
-/// A validated commit parked in the group-commit queue. Its shard locks
-/// remain held by the enqueuing thread, so no conflicting commit can
-/// validate (let alone enqueue) until this entry publishes — which is why
-/// batch members never conflict pairwise and the leader can install them
-/// without revalidation.
-struct BatchEntry<K: 'static, V: 'static> {
+/// A validated commit parked in the pending queue. Its shard locks remain
+/// held by the enqueuing thread, so no conflicting commit can validate
+/// (let alone enqueue) until this entry publishes — which is why batch
+/// members never conflict pairwise and the draining committer can install
+/// them without revalidation.
+struct QueuedCommit<K: 'static, V: 'static> {
     txn: TxnId,
-    /// The member's write-set entries (sorted by key), taken from its
-    /// [`WriteSet`]. The leader drains them on install and recycles the
-    /// storage into the store's scratch pool.
+    /// The member's write-set entries (sorted by key), moved out of its
+    /// [`WriteSet`]. Installing drains them in place; the emptied vector
+    /// goes back to the owning transaction with its outcome.
     writes: Vec<(K, Option<V>)>,
     extra: ExtraFn<K, V>,
-    slot: Arc<CommitSlot>,
 }
 
-/// Group-commit queue state, guarded by [`GroupCommit::state`].
-struct GroupQueue<K: 'static, V: 'static> {
-    pending: VecDeque<BatchEntry<K, V>>,
-    /// Whether some committer is currently draining a batch through the
-    /// sequencer. At most one leader exists at a time; everyone else
-    /// waits on the condvar.
-    leader_active: bool,
+/// A drained member's outcome slot: its result plus its emptied write
+/// vector, waiting for the owning committer to collect both.
+type Outcome<K, V> = (CatalogResult<Timestamp>, Vec<(K, Option<V>)>);
+
+/// State guarded by the `sequencer` mutex: the outcome slots of drained
+/// members not yet collected, and the draining committer's per-batch
+/// buffers. Every buffer is cleared capacity-preserving, so a warm
+/// sequencer section allocates nothing however large its batches.
+struct SequencerState<K: 'static, V: 'static> {
+    outcomes: Vec<(TxnId, Outcome<K, V>)>,
+    /// The batch being drained, moved out of the pending queue.
+    batch: Vec<QueuedCommit<K, V>>,
+    /// The batch descriptor handed to the commit-log hook.
+    descriptor: CommitBatch,
+    /// One record per member, in timestamp order.
+    records: Vec<CommitLogRecord<K, V>>,
 }
 
-/// The group-commit monitor: queue + condvar. The condvar is notified on
-/// enqueue (a window-waiting leader counts pending entries) and when a
-/// leader finishes (parked followers re-check their slots and leadership).
-struct GroupCommit<K: 'static, V: 'static> {
-    state: StdMutex<GroupQueue<K, V>>,
-    cv: Condvar,
+impl<K, V> SequencerState<K, V> {
+    /// Collect `txn`'s outcome, if a drained batch has filled it.
+    fn take_outcome(&mut self, txn: TxnId) -> Option<Outcome<K, V>> {
+        let i = self.outcomes.iter().position(|(id, _)| *id == txn)?;
+        Some(self.outcomes.swap_remove(i).1)
+    }
 }
 
 /// Bookkeeping for one in-flight transaction: its snapshot pins the GC
@@ -266,11 +263,6 @@ impl<K: Ord, V> WriteSet<K, V> {
     /// Buffered keys, ascending.
     fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
-    }
-
-    /// The entries as a key-sorted slice (`None` values are tombstones).
-    fn as_slice(&self) -> &[(K, Option<V>)] {
-        &self.entries
     }
 
     /// Upsert: an existing key's value is replaced in place.
@@ -399,10 +391,12 @@ pub struct MvccStore<K: 'static, V: 'static> {
     /// fully installed, and nothing above it is visible. New snapshots
     /// read this.
     committed: AtomicU64,
-    /// The commit sequencer: draws the next timestamp(s), installs under
-    /// them and publishes as one atomic step (see
-    /// [`MvccStore::commit_with`]).
-    sequencer: Mutex<()>,
+    /// The commit sequencer: its holder drains the pending queue, draws
+    /// the batch's timestamps, installs under them and publishes as one
+    /// atomic step (see [`MvccStore::commit_with`]).
+    sequencer: Mutex<SequencerState<K, V>>,
+    /// Validated commits waiting for a sequencer holder to drain them.
+    pending: Mutex<Vec<QueuedCommit<K, V>>>,
     /// Next transaction id.
     next_txn: AtomicU64,
     /// The commit shards, each owning its slice of the versioned rows.
@@ -415,15 +409,6 @@ pub struct MvccStore<K: 'static, V: 'static> {
     /// Retired transaction contexts, recycled by `begin`. Bounded by
     /// [`SCRATCH_POOL_MAX`]; see [`TxnScratch`].
     scratch_pool: Mutex<Vec<TxnScratch<K, V>>>,
-    /// Group-commit queue (used only when `group_max_batch > 1`).
-    group: GroupCommit<K, V>,
-    /// Max transactions batched through one sequencer section. 1 (the
-    /// default) takes the direct path — today's one-commit-per-section
-    /// behaviour, byte for byte.
-    group_max_batch: AtomicUsize,
-    /// How long a batch leader waits for the queue to fill before
-    /// draining a partial batch.
-    group_window_us: AtomicU64,
     /// Optional durable commit-log hook, invoked once per batch.
     commit_log: RwLock<Option<CommitLog<K, V>>>,
     /// Optional commit failpoint probe (crash-injection harnesses only).
@@ -486,42 +471,25 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
             .collect();
         MvccStore {
             committed: AtomicU64::new(0),
-            sequencer: Mutex::new(()),
+            sequencer: Mutex::new(SequencerState {
+                outcomes: Vec::new(),
+                batch: Vec::new(),
+                descriptor: CommitBatch {
+                    first_ts: Timestamp(0),
+                    txns: Vec::new(),
+                },
+                records: Vec::new(),
+            }),
+            pending: Mutex::new(Vec::new()),
             next_txn: AtomicU64::new(1),
             shards,
             shard_hash,
             active: Mutex::new(HashMap::new()),
             scratch_pool: Mutex::new(Vec::new()),
-            group: GroupCommit {
-                state: StdMutex::new(GroupQueue {
-                    pending: VecDeque::new(),
-                    leader_active: false,
-                }),
-                cv: Condvar::new(),
-            },
-            group_max_batch: AtomicUsize::new(1),
-            group_window_us: AtomicU64::new(0),
             commit_log: RwLock::new(None),
             commit_probe: RwLock::new(None),
             meter,
         }
-    }
-
-    /// Configure group commit: up to `max_batch` validated transactions
-    /// share one sequencer section, and a batch leader waits up to
-    /// `window` for the queue to fill before draining a partial batch.
-    /// `max_batch <= 1` disables batching (the direct sequencer path).
-    /// Safe to call at runtime; new commits observe the new setting.
-    pub fn set_group_commit(&self, max_batch: usize, window: Duration) {
-        self.group_max_batch
-            .store(max_batch.max(1), Ordering::SeqCst);
-        self.group_window_us
-            .store(window.as_micros() as u64, Ordering::SeqCst);
-    }
-
-    /// Current group-commit batch cap (1 = batching disabled).
-    pub fn group_commit_max_batch(&self) -> usize {
-        self.group_max_batch.load(Ordering::SeqCst).max(1)
     }
 
     /// Install (or clear) the durable commit-log hook. See [`CommitLog`].
@@ -1016,23 +984,22 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
             return Err(e);
         }
         // The sequencer stage: draw, install and publish as one atomic
-        // step — directly, or through the group-commit queue when
-        // batching is enabled. Either way commit timestamps stay dense,
-        // allocation-ordered and publication-ordered: a snapshot can
-        // never observe timestamp `t` while a commit below `t` is still
-        // installing (subsystems keyed by manifest sequence — snapshot
-        // caches, checkpoints, GC — rely on that contiguity), and a
-        // committer's next snapshot always covers its own commit. Lock
-        // order shard -> (queue |) sequencer is uniform, so no deadlock;
-        // queued entries keep their shard locks held, so batch members
-        // are pairwise disjoint by construction.
+        // step, for every commit queued when the sequencer comes free.
+        // Commit timestamps stay dense, allocation-ordered and
+        // publication-ordered: a snapshot can never observe timestamp `t`
+        // while a commit below `t` is still installing (subsystems keyed
+        // by manifest sequence — snapshot caches, checkpoints, GC — rely
+        // on that contiguity), and a committer's next snapshot always
+        // covers its own commit. Lock order shard -> (queue | sequencer)
+        // is uniform, so no deadlock; queued entries keep their shard
+        // locks held, so batch members are pairwise disjoint by
+        // construction.
         let sequencer_entered = Instant::now();
-        let max_batch = self.group_commit_max_batch();
-        let sequenced = if max_batch <= 1 {
-            self.sequence_direct(txn, extra)
-        } else {
-            self.sequence_grouped(txn, Box::new(extra), max_batch)
-        };
+        let writes = std::mem::take(&mut txn.writes.entries);
+        let (sequenced, writes) = self.sequence(txn.id, writes, Box::new(extra));
+        // The drained vector comes back with the outcome, so `finish`
+        // recycles the transaction's full scratch, batched or not.
+        txn.writes.entries = writes;
         self.meter
             .sequencer_wait
             .record_ns(sequencer_entered.elapsed().as_nanos() as u64);
@@ -1054,194 +1021,99 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         }
     }
 
-    /// The direct (unbatched) sequencer path: one commit per global
-    /// section. With no commit-log hook installed this is exactly the
-    /// pre-group-commit protocol.
-    fn sequence_direct(
+    /// Group commit in the style of Postgres's `XLogFlush`: enqueue the
+    /// validated commit, then take the sequencer. If an earlier holder
+    /// already drained and published this entry, collect its outcome;
+    /// otherwise drain everything queued as one batch. Batches form on
+    /// their own — whoever queues while a batch is in its commit-log
+    /// write rides the next one — with no window and no cap, and a lone
+    /// committer never waits. Shard locks stay held by the enqueuing
+    /// thread throughout, so no conflicting transaction can validate
+    /// while this entry is queued.
+    fn sequence(
         &self,
-        txn: &mut Txn<K, V>,
-        extra: impl FnOnce(Timestamp) -> Vec<(K, Option<V>)>,
-    ) -> CatalogResult<Timestamp> {
-        let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
-        let _sequencer = self.sequencer.lock();
-        self.probe("commit.sequencer");
-        let commit_ts = Timestamp(self.committed.load(Ordering::SeqCst) + 1);
-        self.meter.group_batch_size.record_ns(1);
-        // Extra writes are computed before the commit-log hook so the log
-        // record carries the transaction's *complete* effect. The closure
-        // is a pure constructor (it builds manifest rows keyed by the
-        // fresh timestamp), so running it on the abort path is harmless.
-        let mut extra_writes = extra(commit_ts);
-        if let Some(hook) = self.commit_log.read().clone() {
-            let batch = CommitBatch {
-                first_ts: commit_ts,
-                txns: vec![txn.id],
-            };
-            let records = [CommitLogRecord {
-                txn: txn.id,
-                commit_ts,
-                writes: txn.writes.as_slice(),
-                extra: &extra_writes,
-            }];
-            if let Err(detail) = hook(&batch, &records) {
-                return Err(CatalogError::CommitLogFailure { detail });
-            }
-        }
-        self.probe("commit.logged");
-        // Drain in place: the write-set's backing storage stays with the
-        // transaction and returns to the scratch pool at `finish`.
-        self.install_at(commit_ts, &mut txn.writes.entries, &mut extra_writes);
-        self.probe("commit.installed");
-        self.committed.store(commit_ts.0, Ordering::SeqCst);
-        self.probe("commit.published");
-        Ok(commit_ts)
-    }
-
-    /// The grouped sequencer path: enqueue the validated commit, then
-    /// either lead (drain a batch through one sequencer section) or
-    /// follow (park on the group condvar until a leader publishes us).
-    /// Shard locks stay held by the enqueuing thread throughout, so no
-    /// conflicting transaction can validate while we're queued.
-    fn sequence_grouped(
-        &self,
-        txn: &mut Txn<K, V>,
+        txn: TxnId,
+        writes: Vec<(K, Option<V>)>,
         extra: ExtraFn<K, V>,
-        max_batch: usize,
-    ) -> CatalogResult<Timestamp> {
+    ) -> Outcome<K, V> {
         let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
-        let slot = Arc::new(CommitSlot(StdMutex::new(None)));
-        let window = Duration::from_micros(self.group_window_us.load(Ordering::SeqCst));
-        let mut state = lock_unpoisoned(&self.group.state);
-        state.pending.push_back(BatchEntry {
-            txn: txn.id,
-            writes: std::mem::take(&mut txn.writes.entries),
-            extra,
-            slot: Arc::clone(&slot),
-        });
-        // A leader may be window-waiting for the queue to fill.
-        self.group.cv.notify_all();
-        loop {
-            if let Some(outcome) = lock_unpoisoned(&slot.0).take() {
-                return outcome;
-            }
-            if !state.leader_active && !state.pending.is_empty() {
-                // Become the leader. Wait out the batching window (unless
-                // the batch is already full), then drain FIFO.
-                state.leader_active = true;
-                if state.pending.len() < max_batch && !window.is_zero() {
-                    let deadline = Instant::now() + window;
-                    while state.pending.len() < max_batch {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = self
-                            .group
-                            .cv
-                            .wait_timeout(state, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        state = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-                let n = state.pending.len().min(max_batch);
-                let batch: Vec<BatchEntry<K, V>> = state.pending.drain(..n).collect();
-                drop(state);
-                self.sequence_batch(batch);
-                state = lock_unpoisoned(&self.group.state);
-                state.leader_active = false;
-                // Wake followers to collect their outcomes (and the next
-                // leader, if the queue refilled while we sequenced).
-                self.group.cv.notify_all();
-            } else {
-                let parked = Instant::now();
-                state = self
-                    .group
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-                let waited_ns = parked.elapsed().as_nanos() as u64;
-                self.meter.group_commit_wait.record_ns(waited_ns);
-                polaris_obs::alloc::attribute_wait(waited_ns);
-            }
+        self.pending
+            .lock()
+            .push(QueuedCommit { txn, writes, extra });
+        let queued = Instant::now();
+        let mut state = self.sequencer.lock();
+        if let Some(outcome) = state.take_outcome(txn) {
+            let waited_ns = queued.elapsed().as_nanos() as u64;
+            self.meter.group_commit_wait.record_ns(waited_ns);
+            polaris_obs::alloc::attribute_wait(waited_ns);
+            return outcome;
         }
+        self.sequence_batch(&mut state);
+        state
+            .take_outcome(txn)
+            .expect("a drained batch holds its drainer's own entry")
     }
 
-    /// Drain one batch through the global sequencer section: one
-    /// commit-log write for the whole batch, then one dense run of
-    /// timestamps drawn, installed and published together. Outcome slots
-    /// fill only *after* the watermark publishes, so by the time a
-    /// follower observes its timestamp the commit is fully visible.
-    fn sequence_batch(&self, batch: Vec<BatchEntry<K, V>>) {
-        let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
-        let _sequencer = self.sequencer.lock();
+    /// Drain the pending queue through the global sequencer section (the
+    /// caller holds the `sequencer` mutex): one commit-log write for the
+    /// whole batch, then one dense run of timestamps drawn, installed and
+    /// published together. Outcome slots fill only *after* the watermark
+    /// publishes, so by the time a member observes its timestamp the
+    /// commit is fully visible.
+    fn sequence_batch(&self, state: &mut SequencerState<K, V>) {
+        let SequencerState {
+            outcomes,
+            batch,
+            descriptor,
+            records,
+        } = state;
+        batch.append(&mut self.pending.lock());
         self.probe("commit.sequencer");
         let base = self.committed.load(Ordering::SeqCst);
         self.meter.group_batch_size.record_ns(batch.len() as u64);
         // Materialize every member's extra writes up front so the single
         // per-batch commit-log record carries each member's complete
-        // effect (extra closures are pure constructors; see
-        // `sequence_direct`).
-        let mut members = Vec::with_capacity(batch.len());
-        for (i, entry) in batch.into_iter().enumerate() {
+        // effect. Extra closures are pure constructors (they build
+        // manifest rows keyed by the fresh timestamp), so running them on
+        // the abort path is harmless.
+        descriptor.first_ts = Timestamp(base + 1);
+        descriptor.txns.clear();
+        // Empty unless a panicking hook left its batch behind.
+        records.clear();
+        for (i, entry) in batch.drain(..).enumerate() {
             let commit_ts = Timestamp(base + 1 + i as u64);
-            let extra_writes = (entry.extra)(commit_ts);
-            members.push((entry.txn, commit_ts, entry.writes, extra_writes, entry.slot));
+            descriptor.txns.push(entry.txn);
+            records.push(CommitLogRecord {
+                txn: entry.txn,
+                commit_ts,
+                writes: entry.writes,
+                extra: (entry.extra)(commit_ts),
+            });
         }
         if let Some(hook) = self.commit_log.read().clone() {
-            let descriptor = CommitBatch {
-                first_ts: Timestamp(base + 1),
-                txns: members.iter().map(|m| m.0).collect(),
-            };
-            let records: Vec<CommitLogRecord<'_, K, V>> = members
-                .iter()
-                .map(|(txn, commit_ts, writes, extra, _)| CommitLogRecord {
-                    txn: *txn,
-                    commit_ts: *commit_ts,
-                    writes: writes.as_slice(),
-                    extra,
-                })
-                .collect();
-            if let Err(detail) = hook(&descriptor, &records) {
+            if let Err(detail) = hook(descriptor, records) {
                 // The whole batch aborts; no timestamp was consumed, so
-                // the clock stays dense for the next batch. Member write
-                // storage is recycled — an aborted batch must not bleed
-                // pool capacity.
-                for (_, _, mut writes, _, slot) in members {
-                    *lock_unpoisoned(&slot.0) = Some(Err(CatalogError::CommitLogFailure {
+                // the clock stays dense for the next batch.
+                for mut record in records.drain(..) {
+                    record.writes.clear();
+                    let failure = Err(CatalogError::CommitLogFailure {
                         detail: detail.clone(),
-                    }));
-                    writes.clear();
-                    self.recycle(TxnScratch {
-                        writes,
-                        reads: HashSet::new(),
-                        shards: Vec::new(),
                     });
+                    outcomes.push((record.txn, (failure, record.writes)));
                 }
                 return;
             }
         }
         self.probe("commit.logged");
-        let count = members.len() as u64;
-        let mut published = Vec::with_capacity(members.len());
-        for (_, commit_ts, mut writes, mut extra_writes, slot) in members {
-            self.install_at(commit_ts, &mut writes, &mut extra_writes);
-            // The drained storage came from a follower's write set; hand
-            // it to the pool so batching keeps the store warm.
-            self.recycle(TxnScratch {
-                writes,
-                reads: HashSet::new(),
-                shards: Vec::new(),
-            });
-            published.push((slot, commit_ts));
+        for record in records.iter_mut() {
+            self.install_at(record.commit_ts, &mut record.writes, &mut record.extra);
         }
         self.probe("commit.installed");
-        self.committed.store(base + count, Ordering::SeqCst);
+        self.committed
+            .store(base + records.len() as u64, Ordering::SeqCst);
         self.probe("commit.published");
-        for (slot, commit_ts) in published {
-            *lock_unpoisoned(&slot.0) = Some(Ok(commit_ts));
+        for record in records.drain(..) {
+            outcomes.push((record.txn, (Ok(record.commit_ts), record.writes)));
         }
     }
 
@@ -1324,11 +1196,11 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     }
 
     /// Entries parked in the group-commit queue right now (validated
-    /// commits waiting for a leader to drain them through the sequencer).
-    /// A depth that stays positive across watchdog ticks means the leader
-    /// is stuck — e.g. a commit-log hook that blocks or fails forever.
+    /// commits waiting for a sequencer holder to drain them). A depth
+    /// that stays positive across watchdog ticks means the sequencer is
+    /// stuck — e.g. a commit-log hook that blocks or fails forever.
     pub fn group_queue_depth(&self) -> usize {
-        lock_unpoisoned(&self.group.state).pending.len()
+        self.pending.lock().len()
     }
 
     /// Smallest id among active transactions. Files are stamped with their
@@ -1403,6 +1275,7 @@ fn format_key<K: std::fmt::Debug>(key: &K) -> String {
 mod tests {
     use super::*;
     use std::ops::Bound::{Excluded, Included, Unbounded};
+    use std::sync::Mutex as StdMutex;
 
     type Store = MvccStore<String, i64>;
 
@@ -1740,6 +1613,57 @@ mod tests {
                 (format!("m@{}", outcome.commit_ts.0), Some(9))
             ]
         );
+    }
+
+    #[test]
+    fn batched_commits_recycle_full_scratch() {
+        // A batch member's drained write vector must come back to its own
+        // transaction: if the drainer kept it, the member would pool
+        // scratch with no write capacity and allocate on its next write.
+        const WRITERS: usize = 4;
+        let s = Arc::new(Store::new());
+        {
+            // Hold the first batch in its log write until every other
+            // writer has queued, so some batch has a member other than
+            // its drainer.
+            let store = Arc::downgrade(&s);
+            let first = std::sync::atomic::AtomicBool::new(true);
+            s.set_commit_log(Some(Arc::new(move |batch, _| {
+                if first.swap(false, Ordering::SeqCst) {
+                    let store = store.upgrade().expect("store outlives its hook");
+                    while batch.len() + store.group_queue_depth() < WRITERS {
+                        std::thread::yield_now();
+                    }
+                }
+                Ok(())
+            })));
+        }
+        let barrier = Arc::new(std::sync::Barrier::new(WRITERS));
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (s, barrier) = (Arc::clone(&s), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let mut t = s.begin(IsolationLevel::Snapshot);
+                    s.write(&mut t, format!("w{w}"), 1).unwrap();
+                    barrier.wait();
+                    s.commit(&mut t).unwrap();
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let batches = &s.meter().group_batch_size;
+        assert!(
+            batches.count() < WRITERS as u64,
+            "some batch must be shared"
+        );
+        let pool = s.scratch_pool.lock();
+        assert_eq!(pool.len(), WRITERS);
+        for scratch in pool.iter() {
+            assert!(scratch.writes.is_empty() && scratch.writes.capacity() > 0);
+            assert!(scratch.shards.is_empty() && scratch.shards.capacity() > 0);
+        }
     }
 
     #[test]

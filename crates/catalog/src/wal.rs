@@ -58,7 +58,7 @@ impl WalBatch {
     /// Capture a sequencer batch from the commit-log hook's arguments.
     pub fn from_records(
         batch: &CommitBatch,
-        records: &[CommitLogRecord<'_, CatalogKey, CatalogValue>],
+        records: &[CommitLogRecord<CatalogKey, CatalogValue>],
     ) -> WalBatch {
         WalBatch {
             first_ts: batch.first_ts.0,

@@ -364,12 +364,13 @@ fn read_only_commits_advance_clock_without_locking() {
 /// batching must not lose or duplicate a member, and the commit clock
 /// must stay exactly as dense as the one-commit-per-section protocol's.
 /// The commit-log hook observes every batch; its dense timestamp runs
-/// must partition the clock.
+/// must partition the clock. The hook holds the sequencer for about a
+/// millisecond, so batches form with no window: committers on other
+/// shards queue behind it and share the next section.
 #[test]
 fn group_commit_batches_preserve_dense_unique_clock() {
     for shards in SHARD_COUNTS {
         let s = Arc::new(sharded(shards));
-        s.set_group_commit(8, std::time::Duration::from_micros(200));
         let batches: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
         {
             let batches = Arc::clone(&batches);
@@ -377,6 +378,7 @@ fn group_commit_batches_preserve_dense_unique_clock() {
                 // Records mirror the batch descriptor member for member.
                 assert_eq!(records.len(), b.len());
                 batches.lock().unwrap().push((b.first_ts.0, b.len()));
+                thread::sleep(std::time::Duration::from_millis(1));
                 Ok(())
             })));
         }
@@ -421,6 +423,14 @@ fn group_commit_batches_preserve_dense_unique_clock() {
         let mut seen = batches.lock().unwrap().clone();
         seen.sort_unstable();
         assert_eq!(seen.iter().map(|(_, n)| *n as u64).sum::<u64>(), total);
+        // With one shard every writer serializes at the shard lock before
+        // the queue, so only a multi-shard store can batch.
+        if shards > 1 {
+            assert!(
+                seen.iter().any(|(_, n)| *n > 1),
+                "batches must form behind a slow commit-log write ({shards} shards)"
+            );
+        }
         let mut next = 1u64;
         for (first, n) in seen {
             assert_eq!(first, next, "batch timestamp runs must be contiguous");
@@ -437,7 +447,6 @@ fn group_commit_batches_preserve_dense_unique_clock() {
 #[test]
 fn commit_log_failure_aborts_whole_batch_without_consuming_timestamps() {
     let s = Arc::new(sharded(16));
-    s.set_group_commit(8, std::time::Duration::from_micros(200));
     let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
     {
         let calls = Arc::clone(&calls);
@@ -502,48 +511,20 @@ fn commit_log_failure_aborts_whole_batch_without_consuming_timestamps() {
     }
 }
 
-/// A lone committer with batching enabled must not wait for a batch that
-/// will never fill: the leader drains a partial batch after the window.
+/// A lone committer never waits: with nothing else queued it drains a
+/// batch of one — itself — straight through the sequencer.
 #[test]
-fn single_committer_drains_partial_batch_after_window() {
+fn lone_committer_never_waits() {
     let s = sharded(16);
-    s.set_group_commit(64, std::time::Duration::from_millis(5));
     let start = std::time::Instant::now();
     let mut t = s.begin(IsolationLevel::Snapshot);
     s.write(&mut t, "solo".to_owned(), 1).unwrap();
     let outcome = s.commit(&mut t).unwrap();
     assert_eq!(outcome.commit_ts, Timestamp(1));
     assert!(
-        start.elapsed() < std::time::Duration::from_secs(2),
-        "partial batch must drain after the window, not hang"
+        start.elapsed() < std::time::Duration::from_millis(100),
+        "a lone committer must not wait for a batch to fill"
     );
     assert_eq!(s.meter().group_batch_size.count(), 1);
     assert_eq!(s.meter().group_batch_size.sum_ns(), 1);
-}
-
-/// `max_batch = 1` is the documented off-switch: the direct sequencer
-/// path runs, and behaviour matches the ungrouped protocol exactly.
-#[test]
-fn batch_of_one_reproduces_direct_path() {
-    let s = Arc::new(sharded(16));
-    s.set_group_commit(1, std::time::Duration::from_micros(200));
-    let threads: Vec<_> = (0..4)
-        .map(|w| {
-            let s = Arc::clone(&s);
-            thread::spawn(move || {
-                for i in 0..25 {
-                    let mut t = s.begin(IsolationLevel::Snapshot);
-                    s.write(&mut t, format!("w{w}/k{i}"), i as i64).unwrap();
-                    s.commit(&mut t).unwrap();
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    assert_eq!(s.now(), Timestamp(100));
-    // Every sequencer section carried exactly one commit.
-    assert_eq!(s.meter().group_batch_size.count(), 100);
-    assert_eq!(s.meter().group_batch_size.sum_ns(), 100);
 }

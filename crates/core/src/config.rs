@@ -52,16 +52,6 @@ pub struct EngineConfig {
     /// Automatic transaction retries on commit conflict for auto-commit
     /// statements.
     pub auto_retries: u32,
-    /// Group commit: max validated transactions batched through one
-    /// sequencer section. 1 (the default) disables batching and
-    /// reproduces the one-commit-per-section protocol exactly; higher
-    /// values amortize the per-batch durable commit-log write across
-    /// concurrent committers.
-    pub group_commit_max_batch: usize,
-    /// Group commit: how long (µs) a batch leader waits for the queue to
-    /// fill before draining a partial batch. Under load, batches form by
-    /// backpressure alone, so a small window suffices.
-    pub group_commit_window_us: u64,
     /// Capacity of the engine's trace flight recorder, in events. The ring
     /// keeps the most recent `trace_capacity` events; 0 disables tracing.
     pub trace_capacity: usize,
@@ -129,8 +119,6 @@ impl Default for EngineConfig {
             scan_morsel_target_bytes: 4 << 20,
             scan_prefetch_depth: 2,
             auto_retries: 3,
-            group_commit_max_batch: 1,
-            group_commit_window_us: 200,
             trace_capacity: 8192,
             telemetry_listen: None,
             telemetry_tick_ms: 100,

@@ -181,10 +181,6 @@ impl PolarisEngine {
         let mut catalog_meter = CatalogMeter::from_registry_sharded(&metrics, commit_shards);
         catalog_meter.tracer = tracer.clone();
         let catalog = Catalog::with_meter_sharded(catalog_meter, commit_shards);
-        catalog.set_group_commit(
-            config.group_commit_max_batch,
-            std::time::Duration::from_micros(config.group_commit_window_us),
-        );
         let slow_log = Arc::new(SlowLog::new(
             crate::telemetry::SLOW_LOG_CAPACITY,
             config.slow_statement_ms.saturating_mul(1_000_000),

@@ -160,11 +160,7 @@ impl CommitLogWriter {
     pub fn append(
         &self,
         batch: &CommitBatch,
-        records: &[CommitLogRecord<
-            '_,
-            polaris_catalog::CatalogKey,
-            polaris_catalog::CatalogValue,
-        >],
+        records: &[CommitLogRecord<polaris_catalog::CatalogKey, polaris_catalog::CatalogValue>],
     ) -> Result<(), String> {
         let t0 = Instant::now();
         let mut state = self.state.lock();

@@ -80,7 +80,7 @@ impl Session {
     }
 
     /// Profiles of recently executed statements, oldest first. Bounded to
-    /// the last [`PROFILE_HISTORY_CAP`] statements.
+    /// the last `PROFILE_HISTORY_CAP` statements.
     pub fn profile_history(&self) -> impl Iterator<Item = &QueryProfile> {
         self.profile_history.iter()
     }

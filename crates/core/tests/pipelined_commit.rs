@@ -23,10 +23,7 @@ fn chaos_engine(write_failure_rate: f64, seed: u64) -> (Arc<PolarisEngine>, Chao
     ));
     let pool = Arc::new(ComputePool::with_topology(2, 4, 2));
     pool.add_nodes(WorkloadClass::System, 2, 2);
-    let config = EngineConfig {
-        group_commit_max_batch: 4,
-        ..EngineConfig::for_testing()
-    };
+    let config = EngineConfig::for_testing();
     let engine = PolarisEngine::new(Arc::clone(&faulty) as Arc<dyn ObjectStore>, pool, config);
     faulty.bind_metrics(engine.metrics());
     (engine, faulty)

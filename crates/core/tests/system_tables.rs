@@ -59,10 +59,7 @@ fn metrics_table_matches_snapshot_exactly_under_group_commit() {
     const WRITERS: usize = 3;
     const TXNS: usize = 8;
 
-    let config = EngineConfig {
-        group_commit_max_batch: 4,
-        ..EngineConfig::for_testing()
-    };
+    let config = EngineConfig::for_testing();
     let engine = engine_with(config);
     for w in 0..WRITERS {
         engine

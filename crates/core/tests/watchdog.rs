@@ -129,8 +129,6 @@ impl Gate {
 #[test]
 fn group_commit_stall_rule_fires_when_queue_parks() {
     let mut config = EngineConfig::for_testing();
-    config.group_commit_max_batch = 2;
-    config.group_commit_window_us = 0;
     config.watchdog_queue_stall_ticks = 2;
     let engine = engine_with(config);
     let mut session = engine.session();
@@ -159,8 +157,8 @@ fn group_commit_stall_rule_fires_when_queue_parks() {
     };
     gate.wait_entered();
 
-    // Followers: enqueue behind the stuck leader and park on the group
-    // condvar — the queue depth the stall rule watches.
+    // Followers: enqueue behind the stuck leader and park on the
+    // sequencer — the queue depth the stall rule watches.
     let followers: Vec<_> = (2..4i64)
         .map(|i| {
             let engine = Arc::clone(&engine);

@@ -619,8 +619,8 @@ pub struct CatalogMeter {
     /// Wall time committers spent *blocked acquiring* commit-shard locks
     /// (the wait profiler's view; `commit_lock_hold` is the hold side).
     pub commit_shard_wait: Histogram,
-    /// Wall time group-commit followers spent parked on the group condvar
-    /// waiting for their batch leader to publish.
+    /// Wall time a group-commit member spent waiting for the sequencer
+    /// when an earlier holder drained and published its entry.
     pub group_commit_wait: Histogram,
     /// Commit batches aborted because the durable commit-log hook failed;
     /// counted once per transaction in the failed batch.

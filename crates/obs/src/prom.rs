@@ -5,7 +5,7 @@
 //! underscores, counters gain the conventional `_total` suffix, labeled
 //! registry keys (`base{shard="3"}`, see [`MetricName`]) are split back
 //! into real exposition labels, and histograms expose cumulative
-//! `_bucket{le="…"}` series derived from [`Histogram`](crate::Histogram)
+//! `_bucket{le="…"}` series derived from [`Histogram`]
 //! bucket counts plus `_sum` / `_count`. Bucket bounds are in
 //! nanoseconds, matching the `_ns` suffix the registry names carry.
 //!

@@ -10,14 +10,14 @@
 //! * **gauges** are sampled as-is,
 //! * **histograms** keep per-tick delta quantiles: the bucket counts that
 //!   arrived *during the tick* run through
-//!   [`quantile_from_counts`](crate::quantile_from_counts), so a
+//!   [`quantile_from_counts`], so a
 //!   latency regression shows up in the tick it happens instead of being
 //!   averaged into the lifetime distribution.
 //!
 //! The rings are fixed-size (`window` ticks), so memory is bounded no
 //! matter how long the engine runs. [`Harvester::time_series`] exports a
 //! serializable [`TimeSeriesSnapshot`]; an attached
-//! [`Watchdog`](crate::health::Watchdog) is evaluated on the same tick so
+//! [`Watchdog`] is evaluated on the same tick so
 //! stall rules observe exactly the cadence the rings record.
 //!
 //! # Zero allocation at steady state
@@ -70,7 +70,7 @@ pub struct QuantilePoint {
 }
 
 /// Serializable export of every time-series ring, the continuous
-/// counterpart of [`MetricsSnapshot`]. Keys are registry metric names.
+/// counterpart of [`MetricsSnapshot`](crate::MetricsSnapshot). Keys are registry metric names.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TimeSeriesSnapshot {
     /// Harvester tick length in milliseconds.

@@ -185,7 +185,7 @@ pub enum Statement {
     Commit,
     /// ROLLBACK.
     Rollback,
-    /// EXPLAIN ANALYZE <stmt>: execute the inner statement and render its
+    /// `EXPLAIN ANALYZE <stmt>`: execute the inner statement and render its
     /// trace span tree with per-phase timings and pruning statistics.
     ExplainAnalyze(Box<Statement>),
     /// SHOW ENGINE HEALTH: render the continuous-telemetry view — current
