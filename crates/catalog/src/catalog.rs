@@ -263,7 +263,9 @@ impl Catalog {
         self.store.abort(txn)
     }
 
-    /// Commit a read-only or DDL-only transaction.
+    /// Commit a read-only or DDL-only transaction. A read-only one (empty
+    /// write set) commits at its snapshot without drawing a timestamp or
+    /// reaching the commit log; see [`MvccStore::commit`].
     pub fn commit(&self, txn: &mut CatalogTxn) -> CatalogResult<CommitOutcome> {
         self.store.commit(txn)
     }

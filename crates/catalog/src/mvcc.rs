@@ -898,8 +898,8 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         let footprint_len = txn.shard_scratch.len();
         // Acquire in ascending shard order: any two commits order their
         // common shards identically, so the protocol is deadlock-free. An
-        // empty footprint (read-only SI commit, or a pure insert whose
-        // manifest rows arrive via `extra`) skips locking entirely.
+        // empty footprint (a pure insert whose manifest rows arrive via
+        // `extra`) skips locking entirely.
         // Guards live inline on the stack up to the default shard count;
         // only an over-sharded store's wide commit spills to the heap.
         let mut inline_guards: [Option<ShardGuard<'_>>; DEFAULT_COMMIT_SHARDS] =
@@ -1153,7 +1153,28 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     }
 
     /// Commit without extra writes.
+    ///
+    /// A transaction with an empty write set takes the *read-only exit*:
+    /// it releases its snapshot (and with it the GC-watermark pin) and
+    /// commits at that snapshot — no shard locks, no validation, no
+    /// sequencer slot, no commit-log record, no timestamp drawn, and no
+    /// `commits` count. The clock stays dense because nothing is drawn.
+    ///
+    /// This is safe under every isolation level. Every committed writer
+    /// passed first-committer-wins validation (plus read-set validation
+    /// under `Serializable`), so commit-timestamp order is a serial
+    /// order of the writers, and a snapshot is a prefix of that order.
+    /// A read-only transaction therefore serializes at its snapshot,
+    /// even when a key it read has since been overwritten; under
+    /// `ReadCommittedSnapshot` each statement already read a committed
+    /// prefix. Validating its read set could only abort it spuriously.
     pub fn commit(&self, txn: &mut Txn<K, V>) -> CatalogResult<CommitOutcome> {
+        if txn.write_count() == 0 {
+            self.ensure_active(txn)?;
+            let commit_ts = txn.snapshot;
+            self.finish(txn, TxnStatus::Committed);
+            return Ok(CommitOutcome { commit_ts });
+        }
         self.commit_with(txn, |_| Vec::new())
     }
 
@@ -1385,6 +1406,50 @@ mod tests {
         s.commit(&mut t1).unwrap();
         let err = s.commit(&mut t2).unwrap_err();
         assert!(matches!(err, CatalogError::SerializationFailure { .. }));
+    }
+
+    #[test]
+    fn serializable_read_only_commits_at_its_snapshot() {
+        let s = Store::new();
+        let mut setup = s.begin(IsolationLevel::Snapshot);
+        s.write(&mut setup, k("a"), 1).unwrap();
+        s.commit(&mut setup).unwrap();
+
+        // The reader's key is overwritten before it commits; it still
+        // commits, serialized at its snapshot (before the writer).
+        let mut reader = s.begin(IsolationLevel::Serializable);
+        assert_eq!(s.read(&mut reader, &k("a")).unwrap(), Some(1));
+        let mut writer = s.begin(IsolationLevel::Snapshot);
+        s.write(&mut writer, k("a"), 2).unwrap();
+        s.commit(&mut writer).unwrap();
+        let now = s.now();
+        let outcome = s.commit(&mut reader).unwrap();
+        assert_eq!(outcome.commit_ts, reader.snapshot);
+        assert!(outcome.commit_ts < now);
+        assert_eq!(s.now(), now, "no timestamp drawn");
+        assert_eq!(reader.status(), TxnStatus::Committed);
+        assert_eq!(reader.read_count(), 0);
+        assert_eq!(s.meter().serialization_failures.get(), 0);
+    }
+
+    #[test]
+    fn serializable_writer_still_validates_its_reads() {
+        let s = Store::new();
+        let mut setup = s.begin(IsolationLevel::Snapshot);
+        s.write(&mut setup, k("a"), 1).unwrap();
+        s.commit(&mut setup).unwrap();
+
+        // The same interleaving, but the transaction wrote one key: its
+        // stale read of `a` fails validation.
+        let mut t = s.begin(IsolationLevel::Serializable);
+        assert_eq!(s.read(&mut t, &k("a")).unwrap(), Some(1));
+        s.write(&mut t, k("b"), 1).unwrap();
+        let mut writer = s.begin(IsolationLevel::Snapshot);
+        s.write(&mut writer, k("a"), 2).unwrap();
+        s.commit(&mut writer).unwrap();
+        let err = s.commit(&mut t).unwrap_err();
+        assert!(matches!(err, CatalogError::SerializationFailure { .. }));
+        assert_eq!(t.status(), TxnStatus::Aborted);
     }
 
     #[test]

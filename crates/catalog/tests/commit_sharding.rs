@@ -17,6 +17,7 @@
 use polaris_catalog::{CatalogError, CommitBatch, IsolationLevel, MvccStore, Timestamp};
 use polaris_obs::{CatalogMeter, MetricName, MetricsRegistry};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
@@ -344,16 +345,47 @@ fn sequential_recommits_never_self_conflict() {
     }
 }
 
-/// Read-only commits skip shard locking entirely but still draw a
-/// timestamp, keeping the clock monotone.
+/// Read-only commits leave at their snapshot: no shard lock, no
+/// timestamp, no commit count, no sequencer batch and no commit-log
+/// record — and they release their snapshot pin.
 #[test]
-fn read_only_commits_advance_clock_without_locking() {
+fn read_only_commits_leave_clock_untouched() {
     let s = sharded(16);
-    let mut t = s.begin(IsolationLevel::Snapshot);
-    let before = s.now();
-    s.commit(&mut t).unwrap();
-    assert_eq!(s.now(), Timestamp(before.0 + 1));
-    assert_eq!(s.meter().commit_shards_acquired.get(), 0);
+    let logged = Arc::new(AtomicUsize::new(0));
+    {
+        let logged = Arc::clone(&logged);
+        s.set_commit_log(Some(Arc::new(move |_: &CommitBatch, _| {
+            logged.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        })));
+    }
+    let mut w = s.begin(IsolationLevel::Snapshot);
+    s.write(&mut w, "k".to_owned(), 1).unwrap();
+    s.commit(&mut w).unwrap();
+    let (now, commits, shards, batches) = (
+        s.now(),
+        s.meter().commits.get(),
+        s.meter().commit_shards_acquired.get(),
+        s.meter().group_batch_size.count(),
+    );
+    assert_eq!(logged.load(Ordering::SeqCst), 1);
+    for isolation in [
+        IsolationLevel::Snapshot,
+        IsolationLevel::ReadCommittedSnapshot,
+        IsolationLevel::Serializable,
+    ] {
+        let mut t = s.begin(isolation);
+        assert_eq!(s.read(&mut t, &"k".to_owned()).unwrap(), Some(1));
+        let outcome = s.commit(&mut t).unwrap();
+        assert_eq!(outcome.commit_ts, now, "commits at its snapshot");
+    }
+    assert_eq!(s.now(), now);
+    assert_eq!(s.meter().commits.get(), commits);
+    assert_eq!(s.meter().commit_shards_acquired.get(), shards);
+    assert_eq!(s.meter().group_batch_size.count(), batches);
+    assert_eq!(logged.load(Ordering::SeqCst), 1, "hook never called");
+    assert_eq!(s.active_count(), 0);
+    assert_eq!(s.min_active_snapshot(), None);
 }
 
 // ----------------------------------------------------------------------

@@ -863,9 +863,12 @@ impl Transaction {
         }
         if manifests.is_empty() {
             // Read-only (or DDL-only): plain catalog commit, no sequence.
+            // A read-only one leaves at its snapshot without logging, so
+            // it must not pay a checkpoint a writer's batch made due.
             // Statements may still have staged manifest blocks (e.g. a
             // DELETE that matched nothing) — those blobs will never be
             // published, so discard them here.
+            let logged = self.ctxn.write_count() > 0;
             let result = self.engine.catalog().commit(&mut self.ctxn);
             self.discard_staged_manifests(&[]);
             drop(commit_span);
@@ -875,7 +878,9 @@ impl Transaction {
                 "aborted"
             });
             result?;
-            self.engine.maybe_checkpoint_commit_log();
+            if logged {
+                self.engine.maybe_checkpoint_commit_log();
+            }
             return Ok(CommitInfo {
                 sequence: None,
                 blocks_committed: 0,

@@ -221,7 +221,12 @@ fn explain_analyze_renders_pruned_scan_with_phase_timings() {
         text.contains("morsels: "),
         "missing morsel summary line:\n{text}"
     );
-    assert!(text.contains("catalog.validate"), "missing commit:\n{text}");
+    assert!(text.contains("txn.commit"), "missing commit:\n{text}");
+    // A read-only statement commits at its snapshot: no validation.
+    assert!(
+        !text.contains("catalog.validate"),
+        "read-only commit must not validate:\n{text}"
+    );
     assert!(
         text.contains("phase execute"),
         "missing phase line:\n{text}"
