@@ -8,10 +8,12 @@
 //! * **Tail sweep** — checkpointing disabled, so recovery replays the
 //!   whole log: recovery wall time should grow linearly with the number
 //!   of logged commits.
-//! * **Checkpoint-interval sweep** — fixed workload, varying
-//!   `log_checkpoint_every`: tighter intervals bound the replayed tail
-//!   (shorter recovery) at the cost of more checkpoint writes during the
-//!   workload.
+//! * **Checkpoint-interval sweep** — fixed workload, varying the
+//!   `log_checkpoint_every` floor: a checkpoint also waits until the log
+//!   written since the last one outweighs it, so a low floor buys a
+//!   shorter replayed tail only until the byte rule takes over. The
+//!   checkpoint bytes written during the workload — the cost that rule
+//!   bounds by the log volume — sit next to the replay numbers.
 //!
 //! `--full` quadruples the workload sizes for quieter numbers.
 
@@ -37,9 +39,11 @@ fn config(checkpoint_every: u64) -> EngineConfig {
 }
 
 /// Run `commits` single-row inserts on a fresh durable engine, drop it
-/// (the simulated kill), and time the reopen.
-fn crash_and_reopen(commits: usize, checkpoint_every: u64) -> (f64, RecoveryReport) {
+/// (the simulated kill), and time the reopen. Also returns the checkpoint
+/// bytes the workload wrote.
+fn crash_and_reopen(commits: usize, checkpoint_every: u64) -> (f64, RecoveryReport, u64) {
     let inner = Arc::new(MemoryStore::new());
+    let checkpoint_bytes;
     {
         let engine = PolarisEngine::open(
             Arc::new(Arc::clone(&inner)) as Arc<dyn ObjectStore>,
@@ -53,6 +57,7 @@ fn crash_and_reopen(commits: usize, checkpoint_every: u64) -> (f64, RecoveryRepo
             s.execute(&format!("INSERT INTO r VALUES ({i}, {})", i * 3))
                 .unwrap();
         }
+        checkpoint_bytes = engine.metrics().counter("wal.checkpoint_bytes").get();
     }
     let t0 = Instant::now();
     let engine = PolarisEngine::open(
@@ -62,7 +67,7 @@ fn crash_and_reopen(commits: usize, checkpoint_every: u64) -> (f64, RecoveryRepo
     )
     .unwrap();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, engine.recovery_report().unwrap())
+    (wall_ms, engine.recovery_report().unwrap(), checkpoint_bytes)
 }
 
 fn main() {
@@ -73,7 +78,7 @@ fn main() {
     println!("| logged commits | open() ms | replay ms | segments | replayed |");
     println!("|---:|---:|---:|---:|---:|");
     for commits in [16, 64, 256, 512 * scale] {
-        let (wall_ms, report) = crash_and_reopen(commits, 0);
+        let (wall_ms, report, _) = crash_and_reopen(commits, 0);
         println!(
             "| {commits} | {wall_ms:.2} | {:.2} | {} | {} |",
             report.wall_ns as f64 / 1e6,
@@ -84,17 +89,19 @@ fn main() {
 
     let commits = 256 * scale;
     println!("\n## Recovery time vs checkpoint interval ({commits} commits)\n");
-    println!("| checkpoint every | open() ms | replay ms | ckpt clock | replayed | segments |");
-    println!("|---:|---:|---:|---:|---:|---:|");
-    for every in [0u64, 16, 64, 256] {
-        let (wall_ms, report) = crash_and_reopen(commits, every);
+    println!(
+        "| checkpoint every | open() ms | replay ms | ckpt clock | replayed | segments | ckpt bytes written |"
+    );
+    println!("|---:|---:|---:|---:|---:|---:|---:|");
+    for every in [0u64, 1, 16, 64, 256] {
+        let (wall_ms, report, checkpoint_bytes) = crash_and_reopen(commits, every);
         let label = if every == 0 {
             "never".to_owned()
         } else {
             every.to_string()
         };
         println!(
-            "| {label} | {wall_ms:.2} | {:.2} | {} | {} | {} |",
+            "| {label} | {wall_ms:.2} | {:.2} | {} | {} | {} | {checkpoint_bytes} |",
             report.wall_ns as f64 / 1e6,
             report.checkpoint_clock,
             report.replayed_commits,

@@ -94,7 +94,8 @@ pub type CatalogCommitLog = crate::CommitLog<CatalogKey, CatalogValue>;
 /// Serializable snapshot of the whole catalog — the §6.3 backup payload.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CatalogImage {
-    /// Commit clock at export time.
+    /// The export's snapshot: the image holds exactly the commits at or
+    /// below this timestamp.
     pub clock: u64,
     /// One entry per table, with its full manifest chain and checkpoints.
     pub tables: Vec<TableImage>,
@@ -611,8 +612,11 @@ impl Catalog {
     /// Databases in the SQL FE by performing periodic Backup operations").
     pub fn export(&self) -> CatalogResult<CatalogImage> {
         let mut txn = self.begin(IsolationLevel::Snapshot);
+        // The image covers exactly the snapshot it was read at; `now()`
+        // could already include a commit published after `begin`, which
+        // recovery would then skip as covered.
         let mut image = CatalogImage {
-            clock: self.now().0,
+            clock: txn.snapshot.0,
             ..Default::default()
         };
         for meta in self.list_tables(&mut txn)? {
@@ -933,6 +937,62 @@ mod tests {
             .unwrap()
             .is_none());
         assert_eq!(c.checkpoints(&mut r, id).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn export_clock_is_the_image_snapshot_under_concurrent_commits() {
+        const WRITERS: usize = 4;
+        const EXPORTS: u64 = 500;
+        let c = Catalog::new();
+        let mut tx = c.begin(IsolationLevel::Snapshot);
+        let tables: Vec<TableId> = (0..WRITERS)
+            .map(|w| {
+                c.create_table(&mut tx, &format!("w{w}"), "{}", "lake/t", &[])
+                    .unwrap()
+            })
+            .collect();
+        c.commit(&mut tx).unwrap();
+        let exports = AtomicU64::new(0);
+        let mut mismatches = Vec::new();
+        std::thread::scope(|scope| {
+            for &id in &tables {
+                let (c, exports) = (&c, &exports);
+                scope.spawn(move || {
+                    // Pace each writer at two commits per export so commits
+                    // keep landing between every export's `begin` and its
+                    // reads while the image stays small.
+                    for i in 0..2 * EXPORTS {
+                        while i > 2 * exports.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        let mut tx = c.begin(IsolationLevel::Snapshot);
+                        c.commit_write(&mut tx, &[(id, format!("m{i}"))]).unwrap();
+                    }
+                });
+            }
+            // Every commit after setup adds exactly one manifest row at its
+            // commit timestamp and the clock is dense, so an image that
+            // covers exactly its clock holds a row at that clock and none
+            // above it. Mismatches are collected, not asserted, so the
+            // paced writers never wait on an exporter that panicked.
+            for _ in 0..EXPORTS {
+                let image = c.export().unwrap();
+                let newest = image
+                    .tables
+                    .iter()
+                    .flat_map(|t| t.manifests.iter().map(|(seq, _, _)| *seq))
+                    .max();
+                if newest.is_some_and(|newest| newest != image.clock) {
+                    mismatches.push((newest, image.clock));
+                }
+                exports.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        assert!(
+            mismatches.is_empty(),
+            "(newest manifest, image clock) disagree: {mismatches:?}"
+        );
+        assert_eq!(c.export().unwrap().clock, c.now().0);
     }
 
     #[test]

@@ -92,12 +92,20 @@ pub struct EngineConfig {
     /// segments being replayed.
     pub commit_log_enabled: bool,
     /// Roll to a new WAL segment once the current one holds at least this
-    /// many framed bytes. Small segments bound the blobs recovery must
-    /// re-read; large ones amortize blob creation.
+    /// many framed bytes. Every append re-commits the segment's whole
+    /// block list, so the segment size bounds the per-append list (16 KiB
+    /// is ~80 single-row frames); it also bounds the blobs recovery must
+    /// re-read and what pruning can reclaim, since only whole segments
+    /// are deleted. Larger segments amortize blob creation.
     pub log_segment_bytes: u64,
-    /// Write a durable catalog checkpoint — and prune the WAL segments it
-    /// covers — every this many logged batches. 0 disables checkpointing
-    /// (the log then grows until the operator checkpoints manually).
+    /// Floor of the catalog checkpoint cadence: a durable checkpoint —
+    /// which also prunes the WAL segments it covers — comes due once at
+    /// least this many batches *and* at least as many log bytes as the
+    /// previous checkpoint image have been logged since it. The byte rule
+    /// keeps checkpoint writes within the log volume they retire while the
+    /// image grows with history; this floor keeps a small catalog from
+    /// checkpointing on every batch. 0 disables checkpointing (the log
+    /// then grows until the operator checkpoints manually).
     pub log_checkpoint_every: u64,
 }
 
@@ -129,7 +137,7 @@ impl Default for EngineConfig {
             watchdog_queue_stall_ticks: 3,
             watchdog_alloc_bytes_per_sec: 1 << 30,
             commit_log_enabled: false,
-            log_segment_bytes: 1 << 20,
+            log_segment_bytes: 16 << 10,
             log_checkpoint_every: 64,
         }
     }

@@ -253,6 +253,7 @@ impl PolarisEngine {
         let engine = PolarisEngine::new(store, pool, config);
         if let Some(writer) = &engine.durability {
             let report = recovery::recover(&engine.store, &engine.catalog, writer.meter())?;
+            writer.resume(&report);
             *engine.recovery.lock() = Some(report);
             engine.install_commit_log();
         }
@@ -273,8 +274,9 @@ impl PolarisEngine {
     }
 
     /// Post-commit durability maintenance: write a catalog checkpoint
-    /// (and prune covered log segments) when enough batches have been
-    /// logged since the last one. Called on every successful commit;
+    /// (and prune covered log segments) once the log written since the
+    /// last one outweighs it ([`CommitLogWriter::take_checkpoint_due`]).
+    /// Called on every successful commit that logged writes;
     /// a checkpoint failure is surfaced as a trace event, never as a
     /// commit failure — the log alone already guarantees durability.
     pub(crate) fn maybe_checkpoint_commit_log(&self) {

@@ -20,10 +20,16 @@
 //!   aborted commit. A block staged by a failed append is simply never
 //!   listed again — storage discards it, the same way aborted transaction
 //!   manifests die.
-//! * **Checkpoints** ([`CommitLogWriter::checkpoint`]): every
-//!   `log_checkpoint_every` appends, the full catalog image
-//!   ([`polaris_catalog::CatalogImage`]) is exported under snapshot
-//!   isolation and written to `sys/checkpoint/ckpt-{clock:020}.json`.
+//! * **Checkpoints** ([`CommitLogWriter::checkpoint`]): once the log
+//!   written since the last checkpoint is at least as large as that
+//!   checkpoint (and at least `log_checkpoint_every` batches long), the
+//!   full catalog image ([`polaris_catalog::CatalogImage`]) is exported
+//!   under snapshot isolation and written to
+//!   `sys/checkpoint/ckpt-{clock:020}.json`. Sizing the interval by log
+//!   volume keeps checkpoint bytes amortized O(1) per commit — they never
+//!   exceed the log bytes logged, plus the newest image — while the
+//!   image itself grows with history, and bounds replay to about one
+//!   image's worth of frames.
 //!   The two newest checkpoints are retained so a torn checkpoint write
 //!   can fall back one generation, and segments are pruned against the
 //!   **oldest retained** generation's clock (not the one just written):
@@ -120,6 +126,11 @@ pub struct CommitLogWriter {
 struct WriterState {
     segment: Option<OpenSegment>,
     appends_since_checkpoint: u64,
+    /// Framed log bytes appended since the last checkpoint came due.
+    bytes_since_checkpoint: u64,
+    /// Size of the newest checkpoint image written (or, after a restart,
+    /// loaded by recovery): the log volume the next checkpoint waits for.
+    last_checkpoint_bytes: u64,
     /// Pooled WAL frame staging buffer: every append serializes into this
     /// capacity-preserving scratch instead of a fresh allocation per batch.
     frame_buf: Vec<u8>,
@@ -211,6 +222,7 @@ impl CommitLogWriter {
         }
         seg.bytes += len;
         state.appends_since_checkpoint += 1;
+        state.bytes_since_checkpoint += len;
         self.meter.wal_appends.inc();
         self.meter.wal_bytes.add(len);
         self.meter
@@ -219,16 +231,28 @@ impl CommitLogWriter {
         Ok(())
     }
 
-    /// Check-and-reset the checkpoint trigger. At most one caller gets
-    /// `true` per `log_checkpoint_every` appends, so concurrent committers
+    /// Resume the checkpoint cadence after recovery: the next checkpoint
+    /// waits for as much log as the image `recover` loaded, so a restart
+    /// does not make the first commits pay for an early checkpoint.
+    pub fn resume(&self, report: &RecoveryReport) {
+        self.state.lock().last_checkpoint_bytes = report.checkpoint_bytes;
+    }
+
+    /// Check-and-reset the checkpoint trigger: due once at least
+    /// `log_checkpoint_every` batches *and* at least the newest
+    /// checkpoint's size in bytes have been logged since the last one. At
+    /// most one caller gets `true` per interval, so concurrent committers
     /// never write duplicate checkpoints.
     pub fn take_checkpoint_due(&self) -> bool {
         if self.checkpoint_every == 0 {
             return false;
         }
         let mut state = self.state.lock();
-        if state.appends_since_checkpoint >= self.checkpoint_every {
+        if state.appends_since_checkpoint >= self.checkpoint_every
+            && state.bytes_since_checkpoint >= state.last_checkpoint_bytes
+        {
             state.appends_since_checkpoint = 0;
+            state.bytes_since_checkpoint = 0;
             true
         } else {
             false
@@ -244,12 +268,15 @@ impl CommitLogWriter {
         let image = catalog.export()?;
         let payload = serde_json::to_vec(&image)
             .map_err(|e| PolarisError::invalid(format!("checkpoint serialization: {e}")))?;
+        let len = payload.len() as u64;
         self.store.put(
             &BlobPath::new(checkpoint_path(image.clock))?,
             payload.into(),
             Stamp::SYSTEM,
         )?;
+        self.state.lock().last_checkpoint_bytes = len;
         self.meter.checkpoints.inc();
+        self.meter.checkpoint_bytes.add(len);
         span.attr("clock", image.clock);
         self.prune()?;
         Ok(image.clock)
@@ -317,6 +344,8 @@ pub struct RecoveryReport {
     /// Clock of the checkpoint image imported (0: recovered from the log
     /// alone).
     pub checkpoint_clock: u64,
+    /// Size in bytes of the checkpoint image imported (0: none).
+    pub checkpoint_bytes: u64,
     /// Log segments read.
     pub segments_scanned: u64,
     /// Batches with at least one commit replayed.
@@ -370,6 +399,7 @@ pub fn recover(
             }
         }
         report.checkpoint_clock = image.clock;
+        report.checkpoint_bytes = raw.len() as u64;
         meter.checkpoint_loads.inc();
         break;
     }
@@ -396,17 +426,16 @@ pub fn recover(
         report.segments_scanned += 1;
         let raw = store.get(&meta.path)?;
         let (batches, tail) = wal::decode_frames(&raw);
-        for batch in &batches {
+        for batch in batches {
             let mut applied = false;
-            for commit in &batch.commits {
+            for commit in batch.commits {
                 txn_floor = txn_floor.max(commit.txn);
                 if commit.commit_ts <= catalog.now().0 {
                     continue; // covered by the checkpoint image
                 }
-                match catalog.replay_commit(
-                    polaris_catalog::Timestamp(commit.commit_ts),
-                    commit.writes.clone(),
-                ) {
+                match catalog
+                    .replay_commit(polaris_catalog::Timestamp(commit.commit_ts), commit.writes)
+                {
                     Ok(()) => {
                         applied = true;
                         report.replayed_commits += 1;

@@ -3,6 +3,7 @@
 //! frame and run no log checkpoint — whether auto-commit, explicit or
 //! `AS OF` — and they leave no snapshot pin behind.
 
+use polaris_core::recovery::CHECKPOINT_PREFIX;
 use polaris_core::{sto, EngineConfig, PolarisEngine, Value};
 use polaris_dcp::ComputePool;
 use polaris_store::{MemoryStore, ObjectStore};
@@ -79,17 +80,30 @@ fn read_only_traffic(engine: &Arc<PolarisEngine>, as_of: u64, rows: i64) {
     assert_eq!(count(engine, &sql), 1);
 }
 
-/// A catalog-level DDL commit is logged but, unlike a session statement,
-/// runs no checkpoint afterwards: with `log_checkpoint_every = 1` it leaves
-/// one due, which the next commit that logged writes would take.
-fn leave_checkpoint_due(engine: &Arc<PolarisEngine>) {
+/// Catalog-level DDL commits are logged but, unlike session statements,
+/// run no checkpoint afterwards. Log them until more bytes have been
+/// logged than the newest checkpoint image holds: with
+/// `log_checkpoint_every = 1` that leaves a checkpoint due, which the next
+/// commit that logged writes takes.
+fn leave_checkpoint_due(engine: &Arc<PolarisEngine>, store: &Arc<MemoryStore>) {
+    let image_bytes = store
+        .list(CHECKPOINT_PREFIX)
+        .unwrap()
+        .last()
+        .map_or(0, |meta| meta.size);
+    let wal_bytes = || engine.metrics_snapshot().counter("wal.bytes");
+    let start = wal_bytes();
     let catalog = engine.catalog();
-    let mut ctxn = catalog.begin(engine.config().default_isolation);
-    let schema = catalog.table_by_name(&mut ctxn, "t").unwrap().schema_json;
-    catalog
-        .create_table(&mut ctxn, "side", &schema, "lake/side", &[])
-        .unwrap();
-    catalog.commit(&mut ctxn).unwrap();
+    let mut side = 0;
+    while wal_bytes() - start <= image_bytes {
+        let mut ctxn = catalog.begin(engine.config().default_isolation);
+        let schema = catalog.table_by_name(&mut ctxn, "t").unwrap().schema_json;
+        catalog
+            .create_table(&mut ctxn, &format!("side{side}"), &schema, "lake/side", &[])
+            .unwrap();
+        catalog.commit(&mut ctxn).unwrap();
+        side += 1;
+    }
 }
 
 #[test]
@@ -105,7 +119,7 @@ fn read_only_commits_draw_no_timestamp_and_write_no_frame() {
         s.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
             .unwrap();
     }
-    leave_checkpoint_due(&engine);
+    leave_checkpoint_due(&engine, &store);
 
     let before = counters(&engine);
     read_only_traffic(&engine, first, 9);
@@ -114,6 +128,10 @@ fn read_only_commits_draw_no_timestamp_and_write_no_frame() {
         before,
         "(now, commits, wal appends, wal bytes, wal checkpoints) must not move"
     );
+    // The checkpoint the readers left alone really was due: the next
+    // writer commit takes it.
+    s.execute("INSERT INTO t VALUES (9, 9)").unwrap();
+    assert_eq!(counters(&engine).4, before.4 + 1);
     // Every reader released its snapshot: nothing pins the GC watermark,
     // and the next orchestrator pass reclaims the compacted-away files.
     assert_eq!(engine.catalog().min_active_snapshot(), None);
@@ -128,7 +146,7 @@ fn kill_after_trailing_reads_recovers_the_pre_kill_clock() {
     {
         let engine = open(&store);
         let first = load(&engine);
-        leave_checkpoint_due(&engine);
+        leave_checkpoint_due(&engine, &store);
         read_only_traffic(&engine, first, 6);
         clock_before = engine.catalog().now().0;
         // Simulated kill -9: dropped with no shutdown hook.

@@ -1,9 +1,14 @@
 //! Crash-recovery integration: durable restarts, the torn-tail rule,
 //! double-replay idempotence, checkpoint pruning, and freeze-crash aborts.
 
+use polaris_catalog::wal;
+use polaris_core::recovery::CHECKPOINT_PREFIX;
 use polaris_core::{EngineConfig, PolarisEngine, Value};
 use polaris_dcp::ComputePool;
-use polaris_store::{Bytes, ChaosStore, MemoryStore, ObjectStore, Stamp};
+use polaris_store::{
+    BlobMeta, BlobPath, BlockId, Bytes, ChaosStore, MemoryStore, ObjectStore, Stamp, StoreResult,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn pool() -> Arc<ComputePool> {
@@ -292,4 +297,168 @@ fn garbage_in_checkpoint_falls_back_to_older_generation() {
     // only assert the fallback one survived.
     let report = engine.recovery_report().unwrap();
     assert!(report.checkpoint_clock > 0);
+}
+
+/// Pass-through store that tallies the bytes `put` under the checkpoint
+/// prefix, and the size of the newest such image.
+struct CheckpointTally {
+    inner: Arc<MemoryStore>,
+    bytes: AtomicU64,
+    newest: AtomicU64,
+}
+
+impl ObjectStore for CheckpointTally {
+    fn put(&self, path: &BlobPath, data: Bytes, stamp: Stamp) -> StoreResult<()> {
+        if path.as_str().starts_with(CHECKPOINT_PREFIX) {
+            let len = data.len() as u64;
+            self.newest.store(len, Ordering::SeqCst);
+            self.bytes.fetch_add(len, Ordering::SeqCst);
+        }
+        self.inner.put(path, data, stamp)
+    }
+    fn get(&self, path: &BlobPath) -> StoreResult<Bytes> {
+        self.inner.get(path)
+    }
+    fn head(&self, path: &BlobPath) -> StoreResult<BlobMeta> {
+        self.inner.head(path)
+    }
+    fn delete(&self, path: &BlobPath) -> StoreResult<()> {
+        self.inner.delete(path)
+    }
+    fn list(&self, prefix: &str) -> StoreResult<Vec<BlobMeta>> {
+        self.inner.list(prefix)
+    }
+    fn stage_block(
+        &self,
+        path: &BlobPath,
+        block: BlockId,
+        data: Bytes,
+        stamp: Stamp,
+    ) -> StoreResult<()> {
+        self.inner.stage_block(path, block, data, stamp)
+    }
+    fn commit_block_list(
+        &self,
+        path: &BlobPath,
+        blocks: &[BlockId],
+        stamp: Stamp,
+    ) -> StoreResult<()> {
+        self.inner.commit_block_list(path, blocks, stamp)
+    }
+    fn committed_blocks(&self, path: &BlobPath) -> StoreResult<Vec<BlockId>> {
+        self.inner.committed_blocks(path)
+    }
+}
+
+/// `CREATE TABLE wide` with `columns` BIGINT columns: a large schema in
+/// the catalog image for the cost of one logged commit.
+fn create_wide_table(columns: usize) -> String {
+    let columns: Vec<String> = (0..columns).map(|c| format!("c{c} BIGINT")).collect();
+    format!("CREATE TABLE wide ({})", columns.join(", "))
+}
+
+/// The volume-based cadence: checkpoint writes never exceed the log
+/// written plus the newest image, checkpoints come far less often than the
+/// `log_checkpoint_every` floor alone would make them, and the replayed
+/// tail is bounded by one image.
+#[test]
+fn checkpoint_bytes_stay_within_log_bytes() {
+    const COMMITS: u64 = 800;
+    const WIDE_COLUMNS: usize = 300;
+    let inner = Arc::new(MemoryStore::new());
+    let tally = Arc::new(CheckpointTally {
+        inner: Arc::clone(&inner),
+        bytes: AtomicU64::new(0),
+        newest: AtomicU64::new(0),
+    });
+    // The default cadence, only with the log switched on.
+    let config = EngineConfig {
+        commit_log_enabled: true,
+        ..EngineConfig::for_testing()
+    };
+    let every = config.log_checkpoint_every;
+    {
+        let dyn_store: Arc<dyn ObjectStore> = Arc::clone(&tally) as Arc<dyn ObjectStore>;
+        let engine = PolarisEngine::open(dyn_store, pool(), config).unwrap();
+        let mut s = engine.session();
+        // A wide, never-written table stands in for a long history: it
+        // makes the image large next to one commit's frame, as on a
+        // catalog that has accumulated many manifest rows.
+        s.execute(&create_wide_table(WIDE_COLUMNS)).unwrap();
+        s.execute("CREATE TABLE t (id BIGINT, v BIGINT)").unwrap();
+        for i in 0..COMMITS {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
+                .unwrap();
+        }
+        let m = engine.metrics_snapshot();
+        let ckpt_bytes = tally.bytes.load(Ordering::SeqCst);
+        let newest = tally.newest.load(Ordering::SeqCst);
+        assert!(
+            ckpt_bytes <= m.counter("wal.bytes") + newest,
+            "checkpoint bytes {ckpt_bytes} exceed log bytes {} + newest image {newest}",
+            m.counter("wal.bytes")
+        );
+        assert_eq!(m.counter("wal.checkpoint_bytes"), ckpt_bytes);
+        let checkpoints = m.counter("wal.checkpoints");
+        assert!(checkpoints >= 1, "the first checkpoint comes at the floor");
+        assert!(
+            checkpoints * 2 * every <= COMMITS,
+            "{checkpoints} checkpoints in {COMMITS} commits: the floor alone would allow {}",
+            COMMITS / every
+        );
+    }
+    let engine = open(&inner, config);
+    let report = engine.recovery_report().unwrap();
+    let min_frame = inner
+        .list(polaris_core::recovery::WAL_PREFIX)
+        .unwrap()
+        .iter()
+        .flat_map(|meta| wal::decode_frames(&inner.get(&meta.path).unwrap()).0)
+        .map(|batch| wal::encode_frame(&batch).unwrap().len() as u64)
+        .min()
+        .unwrap();
+    assert!(report.checkpoint_clock > 0, "recovered via checkpoint");
+    assert!(
+        report.replayed_commits * min_frame <= report.checkpoint_bytes,
+        "replay is bounded by one image: {report:?}, min frame {min_frame}"
+    );
+    assert_eq!(count(&engine, "t"), COMMITS as i64);
+}
+
+/// A restart resumes the cadence from the image recovery loaded: commits
+/// that log less than that image take no checkpoint.
+#[test]
+fn restart_resumes_the_checkpoint_cadence() {
+    let store = Arc::new(MemoryStore::new());
+    let config = EngineConfig {
+        log_checkpoint_every: 1,
+        ..durable_config()
+    };
+    {
+        let engine = open(&store, config);
+        let mut s = engine.session();
+        // The first logged statement takes the first checkpoint; the
+        // wide schema makes that image far larger than a row's frame.
+        s.execute(&create_wide_table(300)).unwrap();
+        s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        assert_eq!(engine.metrics_snapshot().counter("wal.checkpoints"), 1);
+    }
+    let engine = open(&store, config);
+    let report = engine.recovery_report().unwrap();
+    assert!(
+        report.checkpoint_bytes > 0,
+        "recovered via checkpoint: {report:?}"
+    );
+    let mut s = engine.session();
+    for i in 0..3 {
+        s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    let m = engine.metrics_snapshot();
+    assert!(m.counter("wal.bytes") < report.checkpoint_bytes);
+    assert_eq!(
+        m.counter("wal.checkpoints"),
+        0,
+        "less log than the loaded image since the restart: no checkpoint due"
+    );
+    assert_eq!(count(&engine, "t"), 3);
 }

@@ -684,6 +684,8 @@ pub struct RecoveryMeter {
     pub wal_append_ns: Histogram,
     /// Durable catalog checkpoints written.
     pub checkpoints: Counter,
+    /// Bytes of checkpoint images written.
+    pub checkpoint_bytes: Counter,
     /// Log segments deleted because a checkpoint covers them.
     pub segments_pruned: Counter,
     /// Recoveries that loaded a checkpoint image.
@@ -711,6 +713,7 @@ impl RecoveryMeter {
             wal_segments: registry.counter("wal.segments"),
             wal_append_ns: registry.histogram("wal.append_ns"),
             checkpoints: registry.counter("wal.checkpoints"),
+            checkpoint_bytes: registry.counter("wal.checkpoint_bytes"),
             segments_pruned: registry.counter("wal.segments_pruned"),
             checkpoint_loads: registry.counter("recovery.checkpoint_loads"),
             replayed_batches: registry.counter("recovery.replayed_batches"),

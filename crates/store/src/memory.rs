@@ -12,14 +12,26 @@ struct BlobState {
     committed: Option<Bytes>,
     /// Creation stamp recorded at first write.
     stamp: Stamp,
-    /// Payloads of blocks that are staged or referenced by the committed
-    /// list. Committed block payloads are retained so later commits can
-    /// re-list them (the "append" pattern).
-    blocks: HashMap<BlockId, Bytes>,
+    /// Blocks that are staged or referenced by the committed list.
+    /// Committed blocks are retained so later commits can re-list them
+    /// (the "append" pattern); their payloads are windows into
+    /// `committed`, not second copies.
+    blocks: HashMap<BlockId, Block>,
     /// Currently committed block list, in order.
     committed_list: Vec<BlockId>,
     /// IDs staged since the last commit (discarded if not committed).
     staged: Vec<BlockId>,
+    /// Number of successful block-list commits; marks which blocks the
+    /// newest list references.
+    commits: u64,
+}
+
+#[derive(Debug)]
+struct Block {
+    data: Bytes,
+    /// Value of [`BlobState::commits`] at the newest commit that listed
+    /// this block (0: staged, never listed).
+    listed_in: u64,
 }
 
 /// In-memory [`ObjectStore`]. Cheap to clone via `Arc`; all operations are
@@ -132,10 +144,11 @@ impl ObjectStore for MemoryStore {
         if state.committed.is_none() {
             state.stamp = stamp;
         }
-        if !state.staged.contains(&block) && !state.committed_list.contains(&block) {
+        // `blocks` holds exactly the staged and listed ids.
+        if !state.blocks.contains_key(&block) {
             state.staged.push(block.clone());
         }
-        state.blocks.insert(block, data);
+        state.blocks.insert(block, Block { data, listed_in: 0 });
         Ok(())
     }
 
@@ -161,19 +174,51 @@ impl ObjectStore for MemoryStore {
             }
         }
         let state = map.entry(path.clone()).or_default();
-        let mut content = BytesMut::new();
+        let total = blocks.iter().map(|id| state.blocks[id].data.len()).sum();
+        let mut content = BytesMut::with_capacity(total);
         for id in blocks {
-            content.extend_from_slice(&state.blocks[id]);
+            content.extend_from_slice(&state.blocks[id].data);
         }
+        let content = content.freeze();
+        // Each listed block keeps only a window into the committed blob,
+        // so the blob's bytes are held once.
+        state.commits += 1;
+        let mut offset = 0;
+        for id in blocks {
+            let block = state.blocks.get_mut(id).expect("validated above");
+            let end = offset + block.data.len();
+            block.data = content.slice(offset..end);
+            block.listed_in = state.commits;
+            offset = end;
+        }
+        // Staged or previously listed blocks left out of the new list are
+        // discarded (Azure semantics).
+        let BlobState {
+            blocks: payloads,
+            committed_list,
+            staged,
+            commits,
+            ..
+        } = state;
+        for id in staged.iter().chain(committed_list.iter()) {
+            if payloads.get(id).is_some_and(|b| b.listed_in != *commits) {
+                payloads.remove(id);
+            }
+        }
+        staged.clear();
+        // The append pattern re-lists the old list plus a suffix: keep the
+        // shared prefix instead of cloning every id again.
+        let shared = committed_list
+            .iter()
+            .zip(blocks)
+            .take_while(|(old, new)| old == new)
+            .count();
+        committed_list.truncate(shared);
+        committed_list.extend_from_slice(&blocks[shared..]);
         if state.committed.is_none() {
             state.stamp = stamp;
         }
-        state.committed = Some(content.freeze());
-        state.committed_list = blocks.to_vec();
-        // Retain only payloads referenced by the new committed list; staged
-        // blocks left out are discarded (Azure semantics).
-        state.blocks.retain(|id, _| blocks.contains(id));
-        state.staged.clear();
+        state.committed = Some(content);
         Ok(())
     }
 
@@ -241,6 +286,46 @@ mod tests {
             .unwrap();
         s.commit_block_list(&m, &[b], Stamp(1)).unwrap();
         assert_eq!(s.get(&m).unwrap(), Bytes::from_static(b"new"));
+    }
+
+    #[test]
+    fn relisting_holds_the_exact_concatenation_and_drops_unlisted_blocks() {
+        let s = MemoryStore::new();
+        let m = BlobPath::new("a/log").unwrap();
+        let mut list = Vec::new();
+        let mut expected = Vec::new();
+        for i in 0..200u32 {
+            let id = BlockId::new(format!("b{i:03}"));
+            let payload = format!("<{i}:{}>", "x".repeat(i as usize % 7));
+            s.stage_block(&m, id.clone(), Bytes::from(payload.clone()), Stamp(1))
+                .unwrap();
+            list.push(id);
+            expected.extend_from_slice(payload.as_bytes());
+            s.commit_block_list(&m, &list, Stamp(1)).unwrap();
+            assert_eq!(s.get(&m).unwrap(), expected);
+            assert_eq!(s.committed_blocks(&m).unwrap(), list);
+        }
+        // A staged block left out of the next list is discarded.
+        let ghost = BlockId::new("ghost");
+        s.stage_block(&m, ghost.clone(), Bytes::from_static(b"??"), Stamp(1))
+            .unwrap();
+        s.commit_block_list(&m, &list, Stamp(1)).unwrap();
+        assert_eq!(s.get(&m).unwrap(), expected);
+        let mut with_ghost = list.clone();
+        with_ghost.push(ghost);
+        assert!(matches!(
+            s.commit_block_list(&m, &with_ghost, Stamp(1)),
+            Err(StoreError::UnknownBlock { .. })
+        ));
+        // A block dropped from the list can no longer be listed.
+        let dropped = list.remove(0);
+        s.commit_block_list(&m, &list, Stamp(1)).unwrap();
+        assert_eq!(s.get(&m).unwrap(), expected[b"<0:>".len()..]);
+        assert!(matches!(
+            s.commit_block_list(&m, &[dropped], Stamp(1)),
+            Err(StoreError::UnknownBlock { .. })
+        ));
+        assert_eq!(s.committed_blocks(&m).unwrap(), list);
     }
 
     #[test]

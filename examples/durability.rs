@@ -32,7 +32,9 @@ fn durable_config() -> EngineConfig {
     EngineConfig {
         commit_log_enabled: true,    // log every commit batch to sys/wal/
         log_segment_bytes: 64 << 10, // roll segments at 64 KiB
-        log_checkpoint_every: 8,     // checkpoint the catalog every 8 batches
+        // Checkpoint the catalog once the log since the last checkpoint is
+        // at least 8 batches long and at least as large as that image.
+        log_checkpoint_every: 8,
         ..EngineConfig::for_testing()
     }
 }
